@@ -75,8 +75,9 @@ def machine_fingerprint() -> dict:
 
 
 def peak_rss_bytes() -> int | None:
-    """Peak resident-set size of this process in bytes (None if the
-    ``resource`` module is unavailable, e.g. on Windows).
+    """Peak resident-set size in bytes of this process or of its largest
+    waited-for child (pool workers), whichever is larger; None if the
+    ``resource`` module is unavailable, e.g. on Windows.
 
     Linux reports ``ru_maxrss`` in KiB, macOS in bytes; both are
     normalized to bytes here.
@@ -85,7 +86,10 @@ def peak_rss_bytes() -> int | None:
         import resource
     except ImportError:  # pragma: no cover — POSIX-only module
         return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = max(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+    )
     if platform.system() == "Darwin":  # pragma: no cover — macOS units
         return int(peak)
     return int(peak) * 1024

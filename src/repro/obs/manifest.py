@@ -53,8 +53,13 @@ def new_run_id() -> str:
 
 
 def utc_now_iso() -> str:
-    """The current UTC time in ISO-8601 (second precision)."""
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The current UTC time in ISO-8601 (millisecond precision).
+
+    Job records derive queue wait from these stamps, so whole seconds
+    would read a sub-second wait as 0. Stamps of either precision sort
+    chronologically as strings.
+    """
+    return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
 
 @lru_cache(maxsize=1)

@@ -7,7 +7,7 @@ appends them as one JSON object per line to ``spans.jsonl`` next to the
 ``events.jsonl`` a sweep already writes. Parent/child linkage is
 carried implicitly through a :mod:`contextvars` context variable, so a
 span opened in ``service/scheduler.py`` automatically becomes the
-parent of the grid span opened in ``sim/parallel.py`` and of every
+parent of the grid span opened in ``sim/cells.py`` and of every
 per-cell span under it, without threading tracer state through call
 signatures.
 

@@ -1,7 +1,8 @@
 """Always-on sweep service: daemon, job store, resume scheduler, protocol.
 
-The service layer turns the batch sweep runners
-(:mod:`repro.sim.parallel`) into a long-running, resumable system:
+The service layer turns the batch grid executor
+(:func:`repro.sim.cells.run_cells`) into a long-running, resumable
+system:
 
 - :mod:`repro.service.protocol` — line-delimited JSON over a unix
   socket; :class:`ServiceClient` is the synchronous client.
@@ -9,9 +10,11 @@ The service layer turns the batch sweep runners
   descriptions), :class:`JobRecord` lifecycle, :class:`JobStore` atomic
   persistence and restart recovery.
 - :mod:`repro.service.scheduler` — manifest-driven resume: skip cells
-  whose identity (config, trace fingerprint, engine, optional git SHA)
-  matches an existing per-cell manifest, reconstruct their results
-  bit-identically, run only the remainder.
+  whose content-addressed id (:attr:`repro.sim.cells.Cell.id`: policy
+  factory and kwargs, geometry, timing model, trace fingerprint) an
+  existing per-cell manifest records — the window request and an
+  optional git SHA checked on top, the engine not part of it —
+  reconstruct their results bit-identically, run only the remainder.
 - :mod:`repro.service.server` — the :class:`SweepService` asyncio
   daemon behind ``repro serve`` / ``submit`` / ``jobs`` / ``watch``.
 

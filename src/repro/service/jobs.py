@@ -61,7 +61,10 @@ class SweepSpec:
     ``policies`` entries are either a registered policy name (``"lru"``)
     or a dict ``{"key": ..., "name": ..., "kwargs": {...}}`` — ``key``
     defaults to ``name`` and becomes the cell key / manifest label, so
-    two parameterizations of the same policy need distinct keys.
+    two parameterizations of the same policy in one spec need distinct
+    keys. Resume matches cells by content (name and kwargs included, see
+    :mod:`repro.service.scheduler`), so resubmitting a key with changed
+    kwargs re-runs that cell.
     ``workers=0`` means auto (``$REPRO_MAX_WORKERS``, else CPU count).
     ``match_git_sha=True`` additionally requires a manifest's recorded
     git SHA to equal the current one before its cell is skipped on

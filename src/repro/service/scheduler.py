@@ -1,16 +1,19 @@
 """Manifest-driven resume scheduling for sweep grids.
 
 The source of truth for "which cells already ran" is the per-cell run
-manifests (:mod:`repro.obs.manifest`) that ``run_matrix`` /
-``run_mix_matrix`` write into a namespace directory. Before dispatching
-a cell, the scheduler matches the cell's *identity* — manifest kind,
-cell label, workload name, trace fingerprint, cache geometry, engine,
-and (behind the ``match_git_sha`` knob) the git SHA the manifest was
-written at — against the namespace. Matching cells are skipped and
-their results reconstructed from the manifest, so an interrupted sweep
-restarts where it died and the merged output is bit-identical to an
-uninterrupted run for everything a manifest persists (counters, derived
-metrics, and the windowed time-series payload).
+manifests (:mod:`repro.obs.manifest`) that
+:func:`repro.sim.cells.run_cells` writes into a namespace directory,
+each recording its cell's content-addressed id
+(:attr:`repro.sim.cells.Cell.id`: kind, factory and its arguments,
+geometry, timing model, trace fingerprint). Before dispatching a grid,
+the scheduler looks every cell's id up in the namespace; matched cells
+are skipped and their results reconstructed from the manifest, so an
+interrupted sweep restarts where it died and the merged output is
+bit-identical to an uninterrupted run for everything a manifest
+persists (counters, derived metrics, and the windowed time-series
+payload). The engine and the cell label are not part of the identity:
+engines are bit-identical, so a ``vector`` manifest satisfies a
+``fast`` resubmission.
 
 Trust rules:
 
@@ -24,11 +27,18 @@ Trust rules:
 - When the job asked for a windowed time-series, a manifest without a
   matching ``window_size`` payload does not satisfy the cell (the
   resumed merge would lose windows) and the cell re-runs.
+- ``match_git_sha=True`` additionally requires the manifest's recorded
+  git SHA to equal the current HEAD.
+- A cell without an id (a lambda or closure factory) always runs, and
+  cell manifests without an id (written before ids existed) never
+  satisfy a cell; both are announced by a :class:`RuntimeWarning` and a
+  ``warning`` progress event per resume scan.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -40,17 +50,16 @@ from repro.obs.manifest import (
     ManifestLoadReport,
     fingerprint_source,
     scan_manifests,
-    trace_fingerprint,
 )
 from repro.obs.manifest import git_sha as _git_sha
 from repro.obs.metrics import METRICS
 from repro.obs.progress import ProgressEvent, ProgressReporter
 from repro.obs.spans import SpanTracer
 from repro.obs.trace_log import EVENTS_FILENAME, TraceLog
+from repro.sim.cells import Cell, grid_kind, identify, run_cells
 from repro.sim.multi_core import MultiCoreResult, ThreadOutcome
-from repro.sim.parallel import run_matrix, run_mix_matrix
+from repro.sim.parallel import mix_cells
 from repro.sim.single_core import SingleCoreResult
-from repro.workloads.mixes import interleave_traces
 
 
 class CorruptManifestError(RuntimeError):
@@ -77,13 +86,13 @@ class ResumePlan:
 
     ``skipped`` maps already-complete cell keys to results reconstructed
     from their manifests; ``to_run`` lists the keys still needing
-    simulation, in original grid order. ``fingerprint`` records the
-    identity digest(s) the match used.
+    simulation, in original grid order. ``ids`` maps every cell key to
+    the cell id the match used (None: unidentifiable, always runs).
     """
 
     skipped: dict = field(default_factory=dict)
     to_run: list = field(default_factory=list)
-    fingerprint: str | dict | None = None
+    ids: dict = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -142,16 +151,6 @@ def multi_core_result_from_manifest(manifest: Manifest) -> MultiCoreResult:
     )
 
 
-def _geometry_matches(manifest: Manifest, geometry: CacheGeometry) -> bool:
-    """Whether a manifest's recorded config is this cell's geometry."""
-    config = manifest.config if isinstance(manifest.config, dict) else {}
-    return (
-        config.get("num_sets") == geometry.num_sets
-        and config.get("ways") == geometry.ways
-        and config.get("line_size") == geometry.line_size
-    )
-
-
 def _window_matches(manifest: Manifest, window_size: int | None) -> bool:
     """Whether a manifest satisfies the job's windowed-series request."""
     if window_size is None:
@@ -160,157 +159,142 @@ def _window_matches(manifest: Manifest, window_size: int | None) -> bool:
     return timeseries.get("window_size") == window_size
 
 
-def manifest_satisfies_cell(
-    manifest: Manifest,
-    kind: str,
-    label: str,
-    workload: str,
-    fingerprint: str | None,
-    geometry: CacheGeometry,
-    engine: str,
-    window_size: int | None = None,
-    match_git_sha: bool = False,
-) -> bool:
-    """The cell-identity match: does this manifest prove the cell ran?
+def plan_resume(
+    cells: list[Cell], manifests: list[Manifest], match_git_sha: bool = False
+) -> ResumePlan:
+    """Match cells against a namespace's cell manifests by cell id.
 
-    All of (kind, label, workload, trace fingerprint, geometry, engine)
-    must agree; a None fingerprint on either side never matches (an
-    unidentifiable trace must re-run — this is why the sweep runners now
-    always record real fingerprints). ``match_git_sha=True`` adds the
-    code-state dimension: the manifest's recorded SHA must equal the
-    current HEAD.
+    A cell is skipped when the latest manifest recording its
+    :attr:`~repro.sim.cells.Cell.id` also satisfies its window request
+    and, under ``match_git_sha``, was written at the current HEAD. A
+    cell without an id always runs.
     """
-    if manifest.kind != kind or manifest.label != label:
-        return False
-    if manifest.workload != workload or manifest.engine != engine:
-        return False
-    if fingerprint is None or manifest.trace_fingerprint != fingerprint:
-        return False
-    if not _geometry_matches(manifest, geometry):
-        return False
-    if not _window_matches(manifest, window_size):
-        return False
-    if match_git_sha and manifest.git_sha != _git_sha():
-        return False
-    return True
+    by_id: dict[str, list[Manifest]] = {}
+    for manifest in manifests:
+        cell_id = manifest.extra.get("cell_id")
+        if cell_id is not None:
+            by_id.setdefault(cell_id, []).append(manifest)
+    head = _git_sha() if match_git_sha else None
+    plan = ResumePlan(ids=dict(zip((cell.key for cell in cells), identify(cells))))
+    for cell in cells:
+        match = next(
+            (
+                m
+                for m in reversed(by_id.get(plan.ids[cell.key], []))
+                if _window_matches(m, cell.window_size)
+                and (not match_git_sha or m.git_sha == head)
+            ),
+            None,
+        )
+        if match is None:
+            plan.to_run.append(cell.key)
+        elif match.kind == "shared_llc":
+            plan.skipped[cell.key] = multi_core_result_from_manifest(match)
+        else:
+            plan.skipped[cell.key] = single_core_result_from_manifest(match)
+    return plan
 
 
-def _emit_skip_events(
+def _emit_scan_events(
     plan: ResumePlan,
-    manifest_dir: str | os.PathLike | None,
+    manifests: list[Manifest],
+    manifest_dir: str | os.PathLike,
     on_event: Callable[[ProgressEvent], None] | None,
 ) -> None:
-    """Broadcast one ``skipped`` event per resumed cell.
+    """Report the resume scan: warnings, then one ``skipped`` event per
+    resumed cell.
 
-    Events go to the caller's ``on_event`` callback and — matching the
-    grid runners' observability contract — append to the namespace's
-    ``events.jsonl``, so a resumed sweep's log shows exactly which cells
-    were satisfied from manifests.
+    Cells without an id and cell manifests without one (written before
+    cell ids existed, or outside a grid) each raise one
+    :class:`RuntimeWarning` per scan and a ``warning`` event. Events go
+    to ``on_event`` and — matching the grid runners' observability
+    contract — to the namespace's ``events.jsonl``.
     """
-    if not plan.skipped:
+    notices = []
+    legacy = sum(
+        m.kind in ("llc", "shared_llc") and "cell_id" not in m.extra for m in manifests
+    )
+    if legacy:
+        notices.append((
+            "legacy-manifests",
+            f"{legacy} cell manifest(s) in {manifest_dir} record no cell id "
+            "and never satisfy a cell; their cells run again",
+        ))
+    unidentified = [str(key) for key, cell_id in plan.ids.items() if cell_id is None]
+    if unidentified:
+        notices.append((
+            "unidentified-cells",
+            f"{len(unidentified)} cell(s) have no id (a lambda, closure or "
+            f"non-JSON factory argument) and always run: {', '.join(unidentified)}",
+        ))
+    if not notices and not plan.skipped:
         return
     METRICS.inc("scheduler.cells_skipped", len(plan.skipped))
-    log = (
-        TraceLog(Path(manifest_dir) / EVENTS_FILENAME)
-        if manifest_dir is not None
-        else None
-    )
-    start = perf_counter()
+    log = TraceLog(Path(manifest_dir) / EVENTS_FILENAME)
+
+    def emit(kind: str, key, done: int = 0, error: str | None = None) -> None:
+        event = ProgressEvent(
+            kind=kind, key=str(key), done=done, total=len(plan.skipped),
+            elapsed_s=0.0, error=error,
+        )
+        log.emit_progress(event)
+        if on_event is not None:
+            on_event(event)
+
     try:
+        for key, message in notices:
+            warnings.warn(message, RuntimeWarning, stacklevel=4)
+            emit("warning", key, error=message)
         for done, key in enumerate(plan.skipped, start=1):
-            event = ProgressEvent(
-                kind="skipped",
-                key=str(key),
-                done=done,
-                total=len(plan.skipped),
-                elapsed_s=perf_counter() - start,
-            )
-            if log is not None:
-                log.emit_progress(event)
-            if on_event is not None:
-                on_event(event)
+            emit("skipped", key, done=done)
     finally:
-        if log is not None:
-            log.close()
+        log.close()
 
 
-def plan_matrix_resume(
-    manifests: list[Manifest],
-    keys: list,
-    workload: str,
-    fingerprint: str | None,
-    geometry: CacheGeometry,
-    engine: str,
-    window_size: int | None = None,
-    match_git_sha: bool = False,
-) -> ResumePlan:
-    """Match a ``run_matrix`` grid against existing cell manifests."""
-    plan = ResumePlan(fingerprint=fingerprint)
-    for key in keys:
-        match = next(
-            (
-                m
-                for m in reversed(manifests)
-                if manifest_satisfies_cell(
-                    m,
-                    "llc",
-                    str(key),
-                    workload,
-                    fingerprint,
-                    geometry,
-                    engine,
-                    window_size=window_size,
-                    match_git_sha=match_git_sha,
-                )
-            ),
-            None,
-        )
-        if match is not None:
-            plan.skipped[key] = single_core_result_from_manifest(match)
-        else:
-            plan.to_run.append(key)
-    return plan
+def _run_resumable(
+    cells: list[Cell],
+    manifest_dir: str | os.PathLike,
+    max_workers: int | None,
+    match_git_sha: bool,
+    force: bool,
+    on_event: Callable[[ProgressEvent], None] | None,
+) -> tuple[dict, ResumePlan]:
+    """Scan, skip every matched cell, run the rest through
+    :func:`~repro.sim.cells.run_cells`, and merge in cell order.
 
-
-def plan_mix_resume(
-    manifests: list[Manifest],
-    grid: list,
-    mix_fingerprints: dict,
-    geometry: CacheGeometry,
-    engine: str,
-    match_git_sha: bool = False,
-) -> ResumePlan:
-    """Match a ``run_mix_matrix`` grid against ``shared_llc`` manifests.
-
-    ``grid`` holds ``(mix_key, policy_key)`` pairs;
-    ``mix_fingerprints`` maps each mix key to the fingerprint of its
-    interleaved trace (what ``run_shared_llc`` records).
+    The phases are traced to ``spans.jsonl``: a ``job`` root span
+    wrapping a ``resume-scan`` span (manifest matching + skip events)
+    and a ``run-grid`` span under which ``run_cells`` nests its own
+    grid, pack and cell spans — ``repro obs trace <dir>`` shows where a
+    resumed sweep's wall time went.
     """
-    plan = ResumePlan(fingerprint=dict(mix_fingerprints))
-    for mix_key, policy_key in grid:
-        key = (mix_key, policy_key)
-        match = next(
-            (
-                m
-                for m in reversed(manifests)
-                if manifest_satisfies_cell(
-                    m,
-                    "shared_llc",
-                    str(key),
-                    mix_key,
-                    mix_fingerprints.get(mix_key),
-                    geometry,
-                    engine,
-                    match_git_sha=match_git_sha,
-                )
-            ),
-            None,
-        )
-        if match is not None:
-            plan.skipped[key] = multi_core_result_from_manifest(match)
-        else:
-            plan.to_run.append(key)
-    return plan
+    tracer = SpanTracer.for_dir(manifest_dir)
+    workloads = ",".join(dict.fromkeys(cell.workload for cell in cells))
+    try:
+        with tracer.span("job", kind=grid_kind(cells), workload=workloads):
+            with tracer.span("resume-scan") as scan_span:
+                report = check_resume_substrate(manifest_dir, force=force)
+                plan = plan_resume(cells, report.manifests, match_git_sha)
+                _emit_scan_events(plan, report.manifests, manifest_dir, on_event)
+                scan_span.set("skipped", len(plan.skipped))
+                scan_span.set("to_run", len(plan.to_run))
+            fresh: dict = {}
+            if plan.to_run:
+                pending = set(plan.to_run)
+                with tracer.span("run-grid", cells=len(plan.to_run)):
+                    fresh = run_cells(
+                        [cell for cell in cells if cell.key in pending],
+                        max_workers=max_workers,
+                        manifest_dir=manifest_dir,
+                        on_event=on_event,
+                    )
+    finally:
+        tracer.close()
+    results = {
+        cell.key: plan.skipped[cell.key] if cell.key in plan.skipped else fresh[cell.key]
+        for cell in cells
+    }
+    return results, plan
 
 
 def run_resumable_matrix(
@@ -329,63 +313,29 @@ def run_resumable_matrix(
     """A :func:`repro.sim.parallel.run_matrix` that resumes from manifests.
 
     Scans ``manifest_dir`` (refusing corrupt state unless ``force``),
-    skips every cell whose manifest matches (emitting ``skipped``
-    events), runs the remainder through ``run_matrix`` with the same
-    manifest directory, and merges — preserving the original factory
-    order. The merged results are bit-identical to an uninterrupted run
-    for all manifest-persisted fields; resumed cells' ``extra`` carries
-    only the windowed time-series (transient driver extras like PDP's
-    ``pd_history`` exist only on freshly run cells).
-
-    Returns ``(results, plan)``.
-
-    With a manifest directory (always, here) the phases are traced to
-    ``spans.jsonl``: a ``job`` root span wrapping a ``resume-scan`` span
-    (manifest matching + skip events) and a ``run-grid`` span under
-    which ``run_matrix`` nests its own grid/cell spans — `repro obs
-    trace <dir>` shows where a resumed sweep's wall time went.
+    skips every cell whose id a manifest records (emitting ``skipped``
+    events), runs the remainder with the same manifest directory, and
+    merges — preserving the original factory order. The merged results
+    are bit-identical to an uninterrupted run for all manifest-persisted
+    fields; resumed cells' ``extra`` carries only the windowed
+    time-series (transient driver extras like PDP's ``pd_history`` exist
+    only on freshly run cells). Returns ``(results, plan)``.
     """
-    tracer = SpanTracer.for_dir(manifest_dir)
-    try:
-        with tracer.span("job", kind="matrix", workload=str(trace.name)):
-            with tracer.span("resume-scan") as scan_span:
-                report = check_resume_substrate(manifest_dir, force=force)
-                fingerprint = fingerprint_source(trace)
-                plan = plan_matrix_resume(
-                    report.manifests,
-                    list(factories),
-                    trace.name,
-                    fingerprint,
-                    geometry,
-                    engine,
-                    window_size=window_size,
-                    match_git_sha=match_git_sha,
-                )
-                _emit_skip_events(plan, manifest_dir, on_event)
-                scan_span.set("skipped", len(plan.skipped))
-                scan_span.set("to_run", len(plan.to_run))
-            fresh: dict = {}
-            if plan.to_run:
-                remaining = {key: factories[key] for key in plan.to_run}
-                with tracer.span("run-grid", cells=len(plan.to_run)):
-                    fresh = run_matrix(
-                        trace,
-                        remaining,
-                        geometry,
-                        timing=timing,
-                        max_workers=max_workers,
-                        engine=engine,
-                        manifest_dir=manifest_dir,
-                        on_event=on_event,
-                        window_size=window_size,
-                    )
-    finally:
-        tracer.close()
-    results = {
-        key: (plan.skipped[key] if key in plan.skipped else fresh[key])
-        for key in factories
-    }
-    return results, plan
+    cells = [
+        Cell(
+            key,
+            factory,
+            (trace,),
+            geometry,
+            timing=timing,
+            engine=engine,
+            window_size=window_size,
+        )
+        for key, factory in factories.items()
+    ]
+    return _run_resumable(
+        cells, manifest_dir, max_workers, match_git_sha, force, on_event
+    )
 
 
 def run_resumable_mix_matrix(
@@ -403,93 +353,14 @@ def run_resumable_mix_matrix(
 ) -> tuple[dict, ResumePlan]:
     """A :func:`repro.sim.parallel.run_mix_matrix` that resumes from
     manifests (the shared-LLC counterpart of
-    :func:`run_resumable_matrix`).
-
-    Mix identity uses the fingerprint of each mix's round-robin
-    interleaved trace — exactly what ``run_shared_llc`` records in its
-    cell manifests — recomputed here with the same
-    :func:`~repro.workloads.mixes.interleave_traces` the simulation
-    uses. Returns ``(results, plan)``.
+    :func:`run_resumable_matrix`; a mix cell's id covers the
+    fingerprint of its round-robin interleaved trace). Returns
+    ``(results, plan)``.
     """
-    tracer = SpanTracer.for_dir(manifest_dir)
-    try:
-        with tracer.span("job", kind="mix_matrix"):
-            with tracer.span("resume-scan") as scan_span:
-                report = check_resume_substrate(manifest_dir, force=force)
-                mix_fingerprints = {
-                    mix_key: trace_fingerprint(interleave_traces(traces)[0])
-                    for mix_key, traces in mixes.items()
-                }
-                grid = [
-                    (mix_key, policy_key)
-                    for mix_key in mixes
-                    for policy_key in factories
-                ]
-                plan = plan_mix_resume(
-                    report.manifests,
-                    grid,
-                    mix_fingerprints,
-                    geometry,
-                    engine,
-                    match_git_sha=match_git_sha,
-                )
-                _emit_skip_events(plan, manifest_dir, on_event)
-                scan_span.set("skipped", len(plan.skipped))
-                scan_span.set("to_run", len(plan.to_run))
-            fresh: dict = {}
-            if plan.to_run:
-                needed_mixes = {mix_key for mix_key, _ in plan.to_run}
-                needed_policies = {policy_key for _, policy_key in plan.to_run}
-                # run_mix_matrix runs full sub-grids; restrict both axes
-                # to what is still missing, then run any leftover odd
-                # cells serially.
-                sub_mixes = {k: v for k, v in mixes.items() if k in needed_mixes}
-                sub_factories = {
-                    k: v for k, v in factories.items() if k in needed_policies
-                }
-                sub_grid = [(m, p) for m in sub_mixes for p in sub_factories]
-                extra_cells = [key for key in sub_grid if key not in plan.to_run]
-                with tracer.span("run-grid", cells=len(plan.to_run)):
-                    if not extra_cells:
-                        fresh = run_mix_matrix(
-                            sub_mixes,
-                            sub_factories,
-                            geometry,
-                            timing=timing,
-                            singles=None
-                            if singles is None
-                            else {k: singles[k] for k in sub_mixes},
-                            max_workers=max_workers,
-                            engine=engine,
-                            manifest_dir=manifest_dir,
-                            on_event=on_event,
-                        )
-                    else:
-                        # Ragged remainder (different policies missing per
-                        # mix): run each missing cell as its own
-                        # single-cell grid.
-                        for mix_key, policy_key in plan.to_run:
-                            cell = run_mix_matrix(
-                                {mix_key: mixes[mix_key]},
-                                {policy_key: factories[policy_key]},
-                                geometry,
-                                timing=timing,
-                                singles=None
-                                if singles is None
-                                else {mix_key: singles[mix_key]},
-                                max_workers=max_workers,
-                                engine=engine,
-                                manifest_dir=manifest_dir,
-                                on_event=on_event,
-                            )
-                            fresh.update(cell)
-    finally:
-        tracer.close()
-    results = {
-        key: (plan.skipped[key] if key in plan.skipped else fresh[key])
-        for key in grid
-    }
-    return results, plan
+    cells = mix_cells(mixes, factories, geometry, timing, singles, engine)
+    return _run_resumable(
+        cells, manifest_dir, max_workers, match_git_sha, force, on_event
+    )
 
 
 def _matching_explore_manifest(
@@ -668,10 +539,8 @@ __all__ = [
     "check_resume_substrate",
     "execute_predict",
     "execute_spec",
-    "manifest_satisfies_cell",
     "multi_core_result_from_manifest",
-    "plan_matrix_resume",
-    "plan_mix_resume",
+    "plan_resume",
     "run_resumable_matrix",
     "run_resumable_mix_matrix",
     "single_core_result_from_manifest",

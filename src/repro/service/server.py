@@ -5,10 +5,8 @@
 socket), accepts sweep specs over the line-delimited JSON protocol
 (:mod:`repro.service.protocol`), and executes them one at a time on a
 worker thread — each sweep internally fanning out across a process pool
-via :func:`repro.sim.parallel.run_matrix` /
-:func:`~repro.sim.parallel.run_mix_matrix`, with per-cell failure
-isolation and manifest-driven resume
-(:mod:`repro.service.scheduler`).
+via :func:`repro.sim.cells.run_cells`, with per-cell failure isolation
+and manifest-driven resume (:mod:`repro.service.scheduler`).
 
 Durability model: every state transition of a job is persisted
 atomically before it is acted on, and cell completion is recorded by the

@@ -1,546 +1,28 @@
-"""Parallel sweep / comparison runners built on ``ProcessPoolExecutor``.
+"""The sweep grids of the paper's figures, built as cells.
 
-The unit of work is one (trace, policy-factory) simulation — or, for the
-multi-core grid, one (mix, policy-factory) shared-LLC run. Traces are
-written once to packed payloads in the native compressed format
-(:meth:`Trace.save` / ``.trz``) and workers load each at most once per
-process (a module-level memo), so a 32-point PD sweep ships the trace a
-handful of times instead of re-pickling it per task. A
-:class:`repro.traces.stream.TraceStream` source (an external trace file
-opened via :func:`repro.traces.formats.open_trace`) is stream-copied to
-the payload once and each worker re-opens it as a chunked stream, so the
-parallel path never materializes a huge trace either. Factories must be
-picklable — module-level callables, classes, or ``functools.partial`` of
-those; lambdas and closures trigger the serial fallback.
-
-Worker count resolution (``resolve_max_workers``): an explicit
-``max_workers`` argument wins, then the ``REPRO_MAX_WORKERS`` environment
-variable, then ``os.cpu_count()``. A resolved count of 1 — or any failure
-to stand up the pool (unpicklable payloads, sandboxed environments
-without process support) — falls back to running serially in-process, so
-these entry points are always safe to call. The fallback is *loud*: it
-raises a :class:`RuntimeWarning`, emits a ``warning`` progress event
-through the grid observer, and the sweep manifest records
-``workers_requested`` vs ``workers_effective`` so a degraded sweep is
-diagnosable from its manifest alone.
-
-Observability: both grid runners accept ``on_event`` (a callback fed
-started/finished/failed :class:`repro.obs.progress.ProgressEvent`
-records, emitted from the *parent* process as tasks dispatch and
-complete) and ``manifest_dir``. With a manifest directory configured,
-every cell writes its own provenance manifest (inside the worker, via
-the driver's ``manifest_dir=`` parameter), the runner appends all
-progress events to ``events.jsonl``, and a sweep-level manifest records
-per-task status — including failed tasks with policy, workload and a
-traceback summary — so a partially failed grid is diagnosable from the
-manifest directory alone. The runners additionally split each cell's
-wall time into queue wait and in-worker runtime (histograms in the
-process-wide :data:`repro.obs.metrics.METRICS` registry, served live by
-the sweep daemon's ``stats`` verb) and — with a manifest directory —
-write one span per cell under a grid root span to ``spans.jsonl``,
-rendered by ``repro obs trace``; the sweep manifest embeds the metrics
-snapshot when the registry is enabled.
-
-Failure semantics: only *infrastructure* failures fall back to the serial
-path — payload-directory / pool setup errors and a broken pool
-(``BrokenProcessPool``: a worker process died). An exception raised by
-the simulation itself inside a worker (a policy bug surfacing as
-``RuntimeError``, ``ValueError``, ...) propagates to the caller; it is
-never silently masked by a serial re-run. The runners let the remaining
-tasks of the grid complete (their results still land in per-cell
-manifests), record every failure, then re-raise the first one.
+:func:`run_matrix` (one trace x policy factories: Fig. 4's static-PD
+sweep, Fig. 10's policy comparison) and :func:`run_mix_matrix` (mixes x
+shared-LLC policy factories: Fig. 12) turn their arguments into
+:class:`repro.sim.cells.Cell` lists and run them on the one executor,
+:func:`repro.sim.cells.run_cells`, which owns parallelism, payload
+packing, the serial fallback, progress events and manifests — see that
+module for the contracts. Their sweep manifests keep the kinds
+``"matrix"`` and ``"mix_matrix"``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-import tempfile
-import warnings
-from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from functools import partial
-from pathlib import Path
-from time import perf_counter
+from collections.abc import Callable
 
-from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
-from repro.memory.columnar import merge_shard_parts, run_llc_shard, set_shardable
+from repro.memory.columnar import merge_shard_parts, set_shardable
 from repro.memory.timing import TimingModel
-from repro.obs.manifest import (
-    FingerprintAccumulator,
-    Manifest,
-    TaskFailure,
-    trace_fingerprint,
-)
-from repro.obs.manifest import git_sha as _git_sha
-from repro.obs.metrics import METRICS
-from repro.obs.progress import ProgressEvent, ProgressReporter
-from repro.obs.spans import SpanTracer
-from repro.obs.telemetry import TELEMETRY
-from repro.obs.trace_log import EVENTS_FILENAME, TraceLog
-from repro.sim.multi_core import MultiCoreResult, run_shared_llc
-from repro.sim.single_core import SingleCoreResult, run_llc
+from repro.obs.progress import ProgressEvent
+from repro.sim.cells import ENV_MAX_WORKERS, Cell, resolve_max_workers, run_cells
+from repro.sim.multi_core import MultiCoreResult
 from repro.traces.stream import TraceStream
 from repro.traces.trace import Trace
-
-#: Environment variable overriding the default worker count.
-ENV_MAX_WORKERS = "REPRO_MAX_WORKERS"
-
-#: Per-worker-process memo of loaded trace payloads (path -> Trace or
-#: re-iterable TraceStream).
-_WORKER_TRACES: dict[str, Trace | TraceStream] = {}
-
-
-def resolve_max_workers(max_workers: int | None = None) -> int:
-    """Effective worker count: argument, else $REPRO_MAX_WORKERS, else
-    ``os.cpu_count()``; always at least 1 (1 means run serially)."""
-    if max_workers is None:
-        env = os.environ.get(ENV_MAX_WORKERS, "").strip()
-        if env:
-            try:
-                max_workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"${ENV_MAX_WORKERS} must be an integer, got {env!r}"
-                ) from None
-        else:
-            max_workers = os.cpu_count() or 1
-    return max(1, int(max_workers))
-
-
-def _pool_context():
-    """Fork where available (cheap, inherits the interpreter); the
-    default start method elsewhere."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
-def _load_packed_trace(path: str, as_stream: bool = False) -> Trace | TraceStream:
-    """Load (and per-process memoize) one packed trace payload.
-
-    ``as_stream=True`` opens the payload as a re-iterable chunked
-    :class:`TraceStream` instead of materializing it — the worker-side
-    half of the streaming parallel path.
-    """
-    trace = _WORKER_TRACES.get(path)
-    if trace is None:
-        if as_stream:
-            from repro.traces.formats import open_trace
-
-            trace = open_trace(path, format="native")
-        else:
-            trace = Trace.load(path)
-        _WORKER_TRACES[path] = trace
-    return trace
-
-
-def _task_obs_begin() -> float:
-    """Start a clean per-task observability scope inside a pool worker.
-
-    Workers are reused across tasks (and fork inherits the parent's
-    accumulated state), so without a reset each snapshot would bleed the
-    previous tasks' counters into the next result. Returns the task's
-    ``perf_counter`` start so :func:`_task_obs_finish` can measure the
-    in-worker runtime (the parent subtracts it from dispatch-to-completion
-    wall time to estimate pool queue wait).
-    """
-    if TELEMETRY.enabled:
-        TELEMETRY.reset()
-    if METRICS.enabled:
-        METRICS.reset()
-    return perf_counter()
-
-
-def _task_obs_finish(start: float) -> dict:
-    """The worker's observability payload for the task just run.
-
-    ``{"telemetry": snapshot-or-None, "metrics": snapshot-or-None,
-    "runtime_s": in-worker seconds}`` — shipped back with the result so
-    the parent merges both sinks losslessly and can split wall time into
-    queue wait vs runtime.
-    """
-    return {
-        "telemetry": TELEMETRY.snapshot() if TELEMETRY.enabled else None,
-        "metrics": METRICS.snapshot() if METRICS.enabled else None,
-        "runtime_s": perf_counter() - start,
-    }
-
-
-def _run_packed_task(
-    trace_path: str,
-    key,
-    factory: Callable[[], object],
-    geometry: CacheGeometry,
-    timing: TimingModel | None,
-    engine: str,
-    manifest_dir: str | None,
-    as_stream: bool = False,
-    shard_spec: tuple[int, int, int] | None = None,
-    window_size: int | None = None,
-):
-    """Worker entry: one simulation against the shared packed trace.
-
-    With ``shard_spec=(shard, num_shards, total_length)`` the task runs
-    only the sets assigned to that shard (vector engine, no per-cell
-    manifest) and returns a part dict for :func:`merge_shard_parts`
-    instead of a :class:`SingleCoreResult`.
-    """
-    start = _task_obs_begin()
-    trace = _load_packed_trace(trace_path, as_stream=as_stream)
-    if shard_spec is not None:
-        shard, num_shards, total_length = shard_spec
-        part = run_llc_shard(
-            trace,
-            factory(),
-            geometry,
-            shard,
-            num_shards,
-            total_length,
-            window_size=window_size,
-        )
-        return key, part, _task_obs_finish(start)
-    result = run_llc(
-        trace,
-        factory(),
-        geometry,
-        timing=timing,
-        engine=engine,
-        manifest_dir=manifest_dir,
-        run_label=str(key),
-        window_size=window_size,
-    )
-    return key, result, _task_obs_finish(start)
-
-
-def _run_shared_task(
-    trace_paths: list[str],
-    key,
-    factory: Callable[[], object],
-    geometry: CacheGeometry,
-    timing: TimingModel | None,
-    singles: list[float] | None,
-    name: str,
-    engine: str,
-    manifest_dir: str | None,
-):
-    """Worker entry: one shared-LLC mix run against packed thread traces."""
-    start = _task_obs_begin()
-    traces = [_load_packed_trace(path) for path in trace_paths]
-    result = run_shared_llc(
-        traces,
-        factory(),
-        geometry,
-        timing=timing,
-        singles=singles,
-        name=name,
-        engine=engine,
-        manifest_dir=manifest_dir,
-        run_label=str(key),
-    )
-    return key, result, _task_obs_finish(start)
-
-
-class _FingerprintingStream(TraceStream):
-    """A pass-through :class:`TraceStream` that fingerprints its first
-    complete pass.
-
-    ``run_matrix`` wraps stream sources in one of these so the sweep
-    manifest can carry a real, chunk-size-invariant trace fingerprint —
-    the grid already iterates the stream at least once (payload copy on
-    the pooled path, per-cell simulation on the serial path), so the
-    digest comes for free instead of needing a second scan of the file.
-    Only a pass that ran to exhaustion finalizes the digest; an aborted
-    iteration (a failing cell) leaves the accumulator to retry on the
-    next pass.
-    """
-
-    def __init__(self, inner: TraceStream) -> None:
-        self._inner = inner
-        self._digest: str | None = None
-        super().__init__(
-            self._fingerprinting_chunks,
-            name=inner.name,
-            instructions_per_access=inner.instructions_per_access,
-            length=inner.length,
-            source=inner.source,
-            format=inner.format,
-        )
-
-    def _fingerprinting_chunks(self):
-        """Yield the inner chunks, accumulating the digest en route."""
-        if self._digest is not None:
-            yield from self._inner.chunks()
-            return
-        accumulator = FingerprintAccumulator()
-        for chunk in self._inner.chunks():
-            accumulator.update(chunk)
-            yield chunk
-        self._digest = accumulator.digest(self.name, self.instructions_per_access)
-
-    @property
-    def fingerprint(self) -> str | None:
-        """The digest of one full pass, or None if no pass completed."""
-        return self._digest
-
-
-def _warn_serial_fallback(
-    observer: "_GridObserver | None", label: str, requested: int, reason: str
-) -> None:
-    """Surface a parallel-to-serial degradation instead of hiding it.
-
-    A user who asked for N workers and got 1 deserves a signal: emit a
-    :class:`RuntimeWarning` and — when the grid has an observer — a
-    ``warning`` progress event (which also lands in ``events.jsonl``).
-    The sweep manifest additionally records ``workers_requested`` vs
-    ``workers_effective`` so the degradation is diagnosable post hoc.
-    """
-    message = (
-        f"{label}: requested {requested} workers but running serially — "
-        f"{reason}"
-    )
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
-    if observer is not None:
-        observer.warning("serial-fallback", message)
-
-
-class _GridObserver:
-    """Per-grid progress/event-log/failure/latency bookkeeping.
-
-    Wraps a :class:`ProgressReporter` (teeing every event into the
-    manifest directory's ``events.jsonl`` when one is configured) and
-    accumulates per-task status plus :class:`TaskFailure` records for
-    the sweep-level manifest.
-
-    It is also the grid's latency observer: task dispatch times are
-    remembered so each completion can be split into queue wait (wall
-    time minus in-worker runtime) and runtime, recorded into the
-    ``grid.cell_queue_wait_s`` / ``grid.cell_runtime_s`` histograms of
-    the process-wide :data:`repro.obs.metrics.METRICS` registry — and,
-    when a manifest directory is configured, emitted as one per-cell
-    span (child of the grid's root span) in ``spans.jsonl``.
-    """
-
-    def __init__(
-        self,
-        total: int,
-        on_event: Callable[[ProgressEvent], None] | None,
-        manifest_dir: Path | None,
-        label: str,
-        failure_context: Callable[[object], tuple[str, str]],
-    ) -> None:
-        self._log = (
-            TraceLog(manifest_dir / EVENTS_FILENAME)
-            if manifest_dir is not None
-            else None
-        )
-        self._failure_context = failure_context
-        self.statuses: dict[str, str] = {}
-        self.failures: list[TaskFailure] = []
-        self.reporter = ProgressReporter(
-            total, on_event=self._dispatch, label=label
-        )
-        self._on_event = on_event
-        self._dispatched: dict[str, float] = {}
-        self.tracer = SpanTracer.for_dir(manifest_dir)
-        # Root span for the whole grid: entering it makes every cell
-        # span emitted below a child of it (and, transitively, of any
-        # scheduler span already active); close() exits and records it.
-        self._grid_span = self.tracer.span(label, cells=total)
-        self._grid_span.__enter__()
-
-    def _dispatch(self, event: ProgressEvent) -> None:
-        """Tee one event into the JSONL log and the user callback."""
-        if self._log is not None:
-            self._log.emit_progress(event)
-        if self._on_event is not None:
-            self._on_event(event)
-
-    def started(self, key) -> None:
-        """Record and broadcast task dispatch."""
-        self.statuses[str(key)] = "started"
-        self._dispatched[str(key)] = perf_counter()
-        self.reporter.started(key)
-
-    def _observe_cell(self, key, status: str, runtime_s: float | None) -> None:
-        """Record one completed cell's latency split and span.
-
-        Wall time runs dispatch to completion; ``runtime_s`` is the
-        in-worker (or in-process) execution time when known, and their
-        difference is the time the task spent queued behind the pool.
-        """
-        dispatched = self._dispatched.pop(str(key), None)
-        if dispatched is None:
-            return
-        wall = perf_counter() - dispatched
-        runtime = wall if runtime_s is None else min(runtime_s, wall)
-        queue_wait = max(0.0, wall - runtime)
-        if METRICS.enabled:
-            METRICS.observe("grid.cell_runtime_s", runtime)
-            METRICS.observe("grid.cell_queue_wait_s", queue_wait)
-            METRICS.inc(f"grid.cells_{status}")
-        self.tracer.emit(
-            f"cell:{key}",
-            start_s=dispatched,
-            duration_s=wall,
-            attributes={
-                "status": status,
-                "runtime_s": runtime,
-                "queue_wait_s": queue_wait,
-            },
-        )
-
-    def finished(self, key, runtime_s: float | None = None) -> None:
-        """Record and broadcast successful completion."""
-        self.statuses[str(key)] = "finished"
-        self._observe_cell(key, "finished", runtime_s)
-        self.reporter.finished(key)
-
-    def failed(self, key, exc: BaseException) -> None:
-        """Record and broadcast a task failure (kept for the manifest)."""
-        self.statuses[str(key)] = "failed"
-        self._observe_cell(key, "failed", None)
-        policy, workload = self._failure_context(key)
-        self.failures.append(
-            TaskFailure.from_exception(key, exc, policy=policy, workload=workload)
-        )
-        self.reporter.failed(key, exc)
-
-    def warning(self, key, message: str) -> None:
-        """Broadcast a grid-level warning (no per-task status change)."""
-        self.reporter.warning(key, message)
-
-    def task_records(self) -> list[dict]:
-        """JSON-ready ``{key, status}`` rows for the sweep manifest."""
-        return [
-            {"key": key, "status": status}
-            for key, status in self.statuses.items()
-        ]
-
-    def close(self) -> None:
-        """Finish the grid span and close the event/span logs."""
-        self._grid_span.__exit__(None, None, None)
-        self.tracer.close()
-        if self._log is not None:
-            self._log.close()
-
-
-def _run_serial_tasks(run_one, items, observer: _GridObserver | None):
-    """Run ``run_one(key, value)`` for each item in-process.
-
-    Returns ``(results, failures)`` where failures are ``(key, exc)``
-    pairs; the grid keeps going past a failed task so every cell's
-    outcome is known (matching the pooled path).
-    """
-    results: dict = {}
-    failures: list[tuple] = []
-    for key, value in items:
-        if observer is not None:
-            observer.started(key)
-        start = perf_counter()
-        try:
-            results[key] = run_one(key, value)
-        except Exception as exc:  # noqa: BLE001 — recorded, then re-raised
-            failures.append((key, exc))
-            if observer is not None:
-                observer.failed(key, exc)
-        else:
-            if observer is not None:
-                observer.finished(key, runtime_s=perf_counter() - start)
-    return results, failures
-
-
-def _run_pooled(worker_fn, workers: int, write_payloads, serial_fallback, observer):
-    """Fan ``worker_fn`` tasks over a process pool.
-
-    ``write_payloads(payload_dir)`` persists shared payloads and returns
-    one argument tuple per task (the task key at index 1, the contract
-    of both worker entries). Returns ``(results, failures)``.
-    Infrastructure failures (payload dir / pool setup, a broken pool)
-    invoke ``serial_fallback``; exceptions raised *by a task* are
-    collected as failures for the caller to record and re-raise.
-    Worker tasks return ``(key, result, obs_payload)`` where the payload
-    carries the worker's telemetry and metrics snapshots plus its
-    in-worker runtime (:func:`_task_obs_finish`); non-None snapshots are
-    merged into this process's :data:`TELEMETRY` / :data:`METRICS` sinks
-    as each future completes, so counters recorded inside workers are
-    not lost (the serial path records into the sinks directly), and the
-    runtime feeds the observer's queue-wait/runtime split.
-    """
-    try:
-        payload_dir = tempfile.TemporaryDirectory(prefix="repro-trace-")
-    except (OSError, PermissionError):
-        return serial_fallback()
-    try:
-        try:
-            tasks = write_payloads(Path(payload_dir.name))
-            pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context()
-            )
-        except (OSError, RuntimeError, PermissionError):
-            # No usable payload dir or process pool (restricted sandbox,
-            # missing /dev/shm, exhausted pids, ...): run in-process.
-            return serial_fallback()
-        results: dict = {}
-        failures: list[tuple] = []
-        with pool:
-            future_keys = {}
-            for task in tasks:
-                key = task[1]
-                if observer is not None:
-                    observer.started(key)
-                future_keys[pool.submit(worker_fn, *task)] = key
-            try:
-                for future in as_completed(future_keys):
-                    key = future_keys[future]
-                    try:
-                        result_key, result, obs_payload = future.result()
-                    except BrokenProcessPool:
-                        raise
-                    except Exception as exc:  # noqa: BLE001 — see docstring
-                        failures.append((key, exc))
-                        if observer is not None:
-                            observer.failed(key, exc)
-                    else:
-                        results[result_key] = result
-                        if obs_payload["telemetry"] is not None:
-                            TELEMETRY.merge_snapshot(obs_payload["telemetry"])
-                        if obs_payload["metrics"] is not None:
-                            METRICS.merge_snapshot(obs_payload["metrics"])
-                        if observer is not None:
-                            observer.finished(
-                                key, runtime_s=obs_payload["runtime_s"]
-                            )
-            except BrokenProcessPool:
-                # A worker *process* died (OOM-kill, sandbox teardown) —
-                # infrastructure, not a simulation error: retry serially.
-                return serial_fallback()
-        return results, failures
-    finally:
-        payload_dir.cleanup()
-
-
-def _finish_grid(
-    observer: _GridObserver | None,
-    manifest_out: Path | None,
-    failures: list[tuple],
-    sweep_manifest: Callable[[_GridObserver], Manifest] | None,
-):
-    """Close the observer, write the sweep manifest, re-raise failures.
-
-    The sweep manifest is written *before* re-raising so a partially
-    failed grid still leaves a complete post-mortem record (the
-    ``run_matrix`` failure-diagnosability contract).
-    """
-    if observer is not None:
-        observer.close()
-    if manifest_out is not None and observer is not None and sweep_manifest:
-        sweep_manifest(observer).save(manifest_out)
-    if failures:
-        raise failures[0][1]
 
 
 def run_matrix(
@@ -558,7 +40,7 @@ def run_matrix(
     """Run a trace x policy-factory matrix, in parallel when possible.
 
     Args:
-        trace: the access stream every task simulates — an in-memory
+        trace: the access stream every cell simulates — an in-memory
             :class:`Trace`, or a chunked :class:`TraceStream` (e.g. an
             external trace file): the stream is copied once to a native
             payload and every worker re-opens it chunked, so even the
@@ -566,21 +48,16 @@ def run_matrix(
         factories: {key: zero-arg policy factory}; keys are preserved in
             the result dict, insertion order retained.
         geometry / timing / engine: forwarded to :func:`run_llc`.
-        max_workers: worker processes; None resolves via
-            :func:`resolve_max_workers`, 0/1 forces serial.
-        manifest_dir: when set, each cell writes a per-run manifest, all
-            progress events land in ``events.jsonl``, and a sweep-level
-            manifest (kind ``"matrix"``) records per-task status and any
-            failures. Set-partitioned cells do not write per-cell
-            manifests (a merged cell has no single worker run to
-            describe); the sweep-level manifest still records every
+        max_workers / manifest_dir / on_event: the
+            :func:`repro.sim.cells.run_cells` contract; the sweep
+            manifest kind is ``"matrix"``. Set-partitioned cells write
+            no per-cell manifests (a merged cell has no single worker
+            run to describe); the sweep manifest still records every
             shard task.
-        on_event: optional callback receiving started/finished/failed
-            :class:`ProgressEvent` records (emitted in this process).
         set_partitions: when > 1 (vector engine, in-memory trace only),
             split each cell whose policy is
             :func:`repro.memory.columnar.set_shardable` into that many
-            set-partitioned shard tasks — shard ``k`` simulates only the
+            set-partitioned shard cells — shard ``k`` simulates only the
             sets with ``set_index % K == k`` — and merge the per-shard
             statistics and windowed time-series bit-identically to the
             unsharded run. Cells whose policy couples sets (e.g. PDP
@@ -597,208 +74,85 @@ def run_matrix(
         ValueError: ``set_partitions`` with a non-vector engine or a
             :class:`TraceStream` source (shard slicing needs the
             materialized address column).
-        Whatever the first failing simulation task raised (after the
-        remaining tasks complete and the sweep manifest is written);
-        only infrastructure failures fall back to the serial path.
+        Whatever the first failing simulation raised (after the
+        remaining cells complete and the sweep manifest is written).
     """
-    workers = resolve_max_workers(max_workers)
-    items = list(factories.items())
-    stream_source = isinstance(trace, TraceStream)
-    if stream_source:
-        # Fingerprint the stream on its first full pass (payload copy or
-        # first serial cell) so the sweep manifest can identify the
-        # trace — resume matching needs it (see repro.service.scheduler).
-        trace = _FingerprintingStream(trace)
     partitions = 0
     if set_partitions is not None:
         if set_partitions < 1:
-            raise ValueError(
-                f"set_partitions must be >= 1, got {set_partitions}"
-            )
+            raise ValueError(f"set_partitions must be >= 1, got {set_partitions}")
         if set_partitions > 1:
             if engine != "vector":
                 raise ValueError(
                     "set_partitions requires engine='vector' "
                     f"(got engine={engine!r})"
                 )
-            if stream_source:
-                raise ValueError(
-                    "set_partitions requires an in-memory Trace source"
-                )
+            if isinstance(trace, TraceStream):
+                raise ValueError("set_partitions requires an in-memory Trace source")
             partitions = min(set_partitions, geometry.num_sets)
-    # Shard only the cells whose policy state is provably per-set;
-    # everything else (dynamic-PD samplers, unknown policies) keeps the
-    # exact unsharded path.
-    sharded = {
-        key: partitions
-        for key, factory in items
-        if partitions > 1 and set_shardable(factory())
-    }
-    total_length = 0 if stream_source else len(trace)
-
-    # Task list: plain cells keyed by their factory key; sharded cells
-    # expand to (key, shard) tasks whose parts merge after the grid.
-    task_items: list[tuple] = []
-    for key, factory in items:
-        if key in sharded:
-            for shard in range(partitions):
-                task_items.append(
-                    ((key, shard), (factory, (shard, partitions, total_length)))
-                )
+    common = dict(
+        traces=(trace,),
+        geometry=geometry,
+        timing=timing,
+        engine=engine,
+        window_size=window_size,
+    )
+    cells = []
+    sharded = []
+    for key, factory in factories.items():
+        # Shard only the cells whose policy state is provably per-set;
+        # everything else (dynamic-PD samplers, unknown policies) keeps
+        # the exact unsharded path.
+        if partitions > 1 and set_shardable(factory()):
+            sharded.append(key)
+            cells += [
+                Cell((key, shard), factory, shard=(shard, partitions), **common)
+                for shard in range(partitions)
+            ]
         else:
-            task_items.append((key, (factory, None)))
-
-    manifest_out = Path(manifest_dir) if manifest_dir is not None else None
-    manifest_arg = str(manifest_out) if manifest_out is not None else None
-    observer = None
-    if manifest_out is not None or on_event is not None:
-        observer = _GridObserver(
-            total=len(task_items),
-            on_event=on_event,
-            manifest_dir=manifest_out,
-            label="matrix",
-            failure_context=lambda key: (str(key), trace.name),
+            cells.append(Cell(key, factory, **common))
+    results = run_cells(
+        cells, max_workers=max_workers, manifest_dir=manifest_dir, on_event=on_event
+    )
+    for key in sharded:
+        results[key] = merge_shard_parts(
+            [results.pop((key, shard)) for shard in range(partitions)],
+            trace.name,
+            len(trace),
+            trace.instructions_per_access,
+            timing or TimingModel(),
+            window_size=window_size,
         )
+    return {key: results[key] for key in factories}
 
-    def run_one(key, value):
-        factory, shard_spec = value
-        if shard_spec is not None:
-            shard, num_shards, length = shard_spec
-            return run_llc_shard(
-                trace,
-                factory(),
-                geometry,
-                shard,
-                num_shards,
-                length,
-                window_size=window_size,
-            )
-        return run_llc(
-            trace,
-            factory(),
+
+def mix_cells(
+    mixes: dict[str, list[Trace]],
+    factories: dict[str, Callable[[], object]],
+    geometry: CacheGeometry,
+    timing: TimingModel | None = None,
+    singles: dict[str, list[float]] | None = None,
+    engine: str = "fast",
+) -> list[Cell]:
+    """The (mix x policy) shared-LLC cells of a Fig. 12 grid, keyed
+    ``(mix_key, policy_key)`` in mixes-major order."""
+    if singles is not None and set(singles) != set(mixes):
+        raise ValueError("singles must provide baselines for exactly the mixes")
+    return [
+        Cell(
+            (mix_key, policy_key),
+            factory,
+            tuple(traces),
             geometry,
             timing=timing,
             engine=engine,
-            manifest_dir=manifest_arg,
-            run_label=str(key),
-            window_size=window_size,
+            kind="shared_llc",
+            singles=None if singles is None else tuple(singles[mix_key]),
+            name=mix_key,
         )
-
-    serial = partial(_run_serial_tasks, run_one, task_items, observer)
-    start = perf_counter()
-    effective = {"workers": 1}
-    use_pool = workers > 1 and len(task_items) > 1
-    if use_pool:
-        try:
-            pickle.dumps([factory for _, factory in items])
-        except Exception as exc:
-            use_pool = False
-            _warn_serial_fallback(
-                observer,
-                "matrix",
-                workers,
-                f"policy factories are not picklable ({type(exc).__name__}: {exc})",
-            )
-    if use_pool:
-        effective["workers"] = min(workers, len(task_items))
-
-        def serial_after_pool_failure():
-            effective["workers"] = 1
-            _warn_serial_fallback(
-                observer,
-                "matrix",
-                workers,
-                "process pool unavailable (infrastructure failure)",
-            )
-            return serial()
-
-        def write_payloads(payload_dir: Path) -> list[tuple]:
-            trace_path = str(payload_dir / "trace.trz")
-            if stream_source:
-                from repro.traces.formats import write_stream
-
-                write_stream(trace, trace_path, format="native")
-            else:
-                trace.save(trace_path)
-            return [
-                (
-                    trace_path,
-                    key,
-                    factory,
-                    geometry,
-                    timing,
-                    engine,
-                    manifest_arg,
-                    stream_source,
-                    shard_spec,
-                    window_size,
-                )
-                for key, (factory, shard_spec) in task_items
-            ]
-
-        results, failures = _run_pooled(
-            _run_packed_task,
-            min(workers, len(task_items)),
-            write_payloads,
-            serial_after_pool_failure,
-            observer,
-        )
-    else:
-        results, failures = serial()
-
-    # Merge shard parts back into one SingleCoreResult per sharded cell.
-    # A cell with any failed shard is left out of `results` (its failure
-    # re-raises below, and the sweep manifest records each shard task).
-    merge_timing = timing or TimingModel()
-    if sharded and not failures:
-        for key in sharded:
-            parts = [results.pop((key, shard)) for shard in range(partitions)]
-            results[key] = merge_shard_parts(
-                parts,
-                trace.name,
-                total_length,
-                trace.instructions_per_access,
-                merge_timing,
-                window_size=window_size,
-            )
-
-    def sweep_manifest(obs: _GridObserver) -> Manifest:
-        wall = perf_counter() - start
-        # Stream sources fingerprint during their first full pass (see
-        # _FingerprintingStream) — no extra scan of the file, and the
-        # sweep manifest can identify the trace for resume matching.
-        fingerprint = trace.fingerprint if stream_source else trace_fingerprint(trace)
-        length = (trace.length or 0) if stream_source else len(trace)
-        config = {
-            "num_sets": geometry.num_sets,
-            "ways": geometry.ways,
-            "line_size": geometry.line_size,
-            "workers": workers,
-            "workers_requested": workers,
-            "workers_effective": effective["workers"],
-        }
-        if sharded:
-            config["set_partitions"] = partitions
-            config["sharded_cells"] = sorted(str(key) for key in sharded)
-        return Manifest(
-            kind="matrix",
-            workload=trace.name,
-            policy=f"{len(items)} policies",
-            engine=engine,
-            config=config,
-            trace_fingerprint=fingerprint,
-            git_sha=_git_sha(),
-            wall_time_s=wall,
-            accesses=length * len(items),
-            accesses_per_sec=(length * len(items)) / wall if wall > 0 else 0.0,
-            tasks=obs.task_records(),
-            failures=list(obs.failures),
-            telemetry=TELEMETRY.snapshot() if TELEMETRY.enabled else {},
-            metrics=METRICS.snapshot() if METRICS.enabled else {},
-        )
-
-    _finish_grid(observer, manifest_out, failures, sweep_manifest)
-    return {key: results[key] for key, _ in items}
+        for mix_key, traces in mixes.items()
+        for policy_key, factory in factories.items()
+    ]
 
 
 def run_mix_matrix(
@@ -814,11 +168,11 @@ def run_mix_matrix(
 ) -> dict[tuple[str, str], MultiCoreResult]:
     """Run a (mix x policy-factory) grid of shared-LLC runs in parallel.
 
-    The multi-core counterpart of :func:`run_matrix`: each task is one
+    The multi-core counterpart of :func:`run_matrix`: each cell is one
     :func:`repro.sim.multi_core.run_shared_llc` call. Per-thread traces
-    are written once per mix as packed native payloads and memoized per
-    worker process, so an 80-mix x 4-policy Fig. 12 grid ships each trace
-    a handful of times rather than 4x80 times.
+    are packed once and memoized per worker process, so an 80-mix x
+    4-policy Fig. 12 grid ships each trace a handful of times rather
+    than 4x80 times.
 
     Args:
         mixes: {mix_key: per-thread traces} (private address spaces, as
@@ -826,210 +180,30 @@ def run_mix_matrix(
         factories: {policy_key: zero-arg factory for a fresh shared-LLC
             policy}; must be picklable for the parallel path.
         singles: optional {mix_key: stand-alone LRU IPCs}. When omitted
-            every task recomputes its mix's baselines — pass precomputed
+            every cell recomputes its mix's baselines — pass precomputed
             values (``single_thread_baselines`` once per mix) to avoid
             the duplicate work.
-        max_workers: worker processes; None resolves via
-            :func:`resolve_max_workers`, 0/1 forces serial.
-        manifest_dir / on_event: the :func:`run_matrix` observability
-            contract; the sweep-level manifest kind is ``"mix_matrix"``.
+        max_workers / manifest_dir / on_event: the
+            :func:`repro.sim.cells.run_cells` contract; the sweep
+            manifest kind is ``"mix_matrix"``.
 
     Returns:
         {(mix_key, policy_key): MultiCoreResult} for the full grid, in
         mixes-major insertion order.
 
     Raises:
-        Whatever the first failing simulation task raised (after the
-        remaining tasks complete and the sweep manifest is written);
-        only infrastructure failures fall back to the serial path.
+        Whatever the first failing simulation raised (after the
+        remaining cells complete and the sweep manifest is written).
     """
-    if singles is not None and set(singles) != set(mixes):
-        raise ValueError("singles must provide baselines for exactly the mixes")
-    workers = resolve_max_workers(max_workers)
-    grid = [(mix_key, policy_key) for mix_key in mixes for policy_key in factories]
-    manifest_out = Path(manifest_dir) if manifest_dir is not None else None
-    manifest_arg = str(manifest_out) if manifest_out is not None else None
-    observer = None
-    if manifest_out is not None or on_event is not None:
-        observer = _GridObserver(
-            total=len(grid),
-            on_event=on_event,
-            manifest_dir=manifest_out,
-            label="mix-matrix",
-            # grid keys are (mix, policy) pairs
-            failure_context=lambda key: (str(key[1]), str(key[0])),
-        )
-
-    def run_one(key, _value):
-        mix_key, policy_key = key
-        return run_shared_llc(
-            mixes[mix_key],
-            factories[policy_key](),
-            geometry,
-            timing=timing,
-            singles=None if singles is None else singles[mix_key],
-            name=mix_key,
-            engine=engine,
-            manifest_dir=manifest_arg,
-            run_label=str(key),
-        )
-
-    serial = partial(
-        _run_serial_tasks, run_one, [(key, None) for key in grid], observer
-    )
-    start = perf_counter()
-    effective = {"workers": 1}
-    use_pool = workers > 1 and len(grid) > 1
-    if use_pool:
-        try:
-            pickle.dumps(list(factories.values()))
-        except Exception as exc:
-            use_pool = False
-            _warn_serial_fallback(
-                observer,
-                "mix-matrix",
-                workers,
-                f"policy factories are not picklable ({type(exc).__name__}: {exc})",
-            )
-    if use_pool:
-        effective["workers"] = min(workers, len(grid))
-
-        def serial_after_pool_failure():
-            effective["workers"] = 1
-            _warn_serial_fallback(
-                observer,
-                "mix-matrix",
-                workers,
-                "process pool unavailable (infrastructure failure)",
-            )
-            return serial()
-
-        def write_payloads(payload_dir: Path) -> list[tuple]:
-            mix_paths: dict[str, list[str]] = {}
-            for slot, (mix_key, traces) in enumerate(mixes.items()):
-                paths = []
-                for thread, trace in enumerate(traces):
-                    path = str(payload_dir / f"mix{slot}-t{thread}.trz")
-                    trace.save(path)
-                    paths.append(path)
-                mix_paths[mix_key] = paths
-            return [
-                (
-                    mix_paths[mix_key],
-                    (mix_key, policy_key),
-                    factories[policy_key],
-                    geometry,
-                    timing,
-                    None if singles is None else singles[mix_key],
-                    mix_key,
-                    engine,
-                    manifest_arg,
-                )
-                for mix_key, policy_key in grid
-            ]
-
-        results, failures = _run_pooled(
-            _run_shared_task,
-            min(workers, len(grid)),
-            write_payloads,
-            serial_after_pool_failure,
-            observer,
-        )
-    else:
-        results, failures = serial()
-
-    def sweep_manifest(obs: _GridObserver) -> Manifest:
-        wall = perf_counter() - start
-        total_accesses = sum(
-            len(trace) for traces in mixes.values() for trace in traces
-        ) * len(factories)
-        return Manifest(
-            kind="mix_matrix",
-            workload=",".join(mixes),
-            policy=",".join(str(key) for key in factories),
-            engine=engine,
-            config={
-                "num_sets": geometry.num_sets,
-                "ways": geometry.ways,
-                "line_size": geometry.line_size,
-                "workers": workers,
-                "workers_requested": workers,
-                "workers_effective": effective["workers"],
-                "mixes": len(mixes),
-            },
-            git_sha=_git_sha(),
-            wall_time_s=wall,
-            accesses=total_accesses,
-            accesses_per_sec=total_accesses / wall if wall > 0 else 0.0,
-            tasks=obs.task_records(),
-            failures=list(obs.failures),
-            telemetry=TELEMETRY.snapshot() if TELEMETRY.enabled else {},
-            metrics=METRICS.snapshot() if METRICS.enabled else {},
-        )
-
-    _finish_grid(observer, manifest_out, failures, sweep_manifest)
-    return {key: results[key] for key in grid}
-
-
-def parallel_sweep_static_pd(
-    trace: Trace,
-    geometry: CacheGeometry,
-    pds: Iterable[int],
-    bypass: bool = True,
-    n_c: int = 8,
-    timing: TimingModel | None = None,
-    max_workers: int | None = None,
-    engine: str = "vector",
-    manifest_dir: str | os.PathLike | None = None,
-    on_event: Callable[[ProgressEvent], None] | None = None,
-) -> dict[int, SingleCoreResult]:
-    """Parallel counterpart of :func:`repro.sim.runner.sweep_static_pd`."""
-    factories = {
-        pd: partial(PDPPolicy, static_pd=pd, bypass=bypass, n_c=n_c) for pd in pds
-    }
-    return run_matrix(
-        trace,
-        factories,
-        geometry,
-        timing=timing,
-        max_workers=max_workers,
-        engine=engine,
-        manifest_dir=manifest_dir,
-        on_event=on_event,
-    )
-
-
-def parallel_compare_policies(
-    trace: Trace,
-    factories: dict[str, Callable[[], object]],
-    geometry: CacheGeometry,
-    timing: TimingModel | None = None,
-    max_workers: int | None = None,
-    engine: str = "vector",
-    manifest_dir: str | os.PathLike | None = None,
-    on_event: Callable[[ProgressEvent], None] | None = None,
-) -> dict[str, SingleCoreResult]:
-    """Parallel counterpart of :func:`repro.sim.runner.compare_policies`.
-
-    Unpicklable factories (lambdas/closures) degrade gracefully to the
-    serial path.
-    """
-    return run_matrix(
-        trace,
-        factories,
-        geometry,
-        timing=timing,
-        max_workers=max_workers,
-        engine=engine,
-        manifest_dir=manifest_dir,
-        on_event=on_event,
+    cells = mix_cells(mixes, factories, geometry, timing, singles, engine)
+    return run_cells(
+        cells, max_workers=max_workers, manifest_dir=manifest_dir, on_event=on_event
     )
 
 
 __all__ = [
     "ENV_MAX_WORKERS",
-    "parallel_compare_policies",
-    "parallel_sweep_static_pd",
+    "mix_cells",
     "resolve_max_workers",
     "run_matrix",
     "run_mix_matrix",

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +114,29 @@ class TestSchema:
         rss = peak_rss_bytes()
         assert rss is None or rss > 1024 * 1024  # at least a megabyte
         json.dumps(machine_fingerprint())  # JSON-native by contract
+
+    def test_peak_rss_counts_waited_children(self):
+        """A pooled bench's workers count: a child that touched 96 MB
+        raises the reading of a parent that stayed small."""
+        child = "b = b'x' * (96 << 20)"
+        parent = (
+            "import subprocess, sys\n"
+            "from repro.obs.bench import peak_rss_bytes\n"
+            f"subprocess.run([sys.executable, '-c', {child!r}], check=True)\n"
+            "print(peak_rss_bytes())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", parent],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            check=True,
+        )
+        reading = out.stdout.strip()
+        if reading == "None":
+            pytest.skip("resource module unavailable")
+        assert int(reading) >= 96 << 20
 
     def test_committed_bench_files_are_canonical(self):
         for name in ("BENCH_engine.json", "BENCH_multicore.json"):

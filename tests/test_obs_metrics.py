@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -319,6 +320,32 @@ class TestSpans:
         assert not any("cell:pdp" in ln and ln.endswith("*") for ln in lines)
         assert any("[ok]" in ln for ln in lines)
         assert "5 spans, 1 root(s); * = critical path" in text
+
+    def test_pooled_grid_pack_span_round_trip(self, tmp_path):
+        """A pooled grid writes its payloads under a ``pack`` span —
+        child of the grid root, apart from the cell spans — packing the
+        one shared trace once and recording the bytes written."""
+        from repro.sim.parallel import run_matrix
+
+        trace = Trace(np.arange(2000) % 300, name="pack-span")
+        factories = {
+            "lru": partial(make_policy, "lru"),
+            "fifo": partial(make_policy, "fifo"),
+        }
+        run_matrix(
+            trace, factories, CacheGeometry(num_sets=16, ways=4),
+            max_workers=2, manifest_dir=tmp_path,
+        )
+        spans = read_spans(tmp_path / SPANS_FILENAME)
+        by_name = {s["name"]: s for s in spans}
+        pack = by_name["pack"]
+        assert pack["parent_id"] == by_name["matrix"]["span_id"]
+        assert pack["attributes"]["files"] == 1
+        assert pack["attributes"]["bytes"] > 0
+        cells = [s for s in spans if s["name"].startswith("cell:")]
+        assert len(cells) == 2
+        assert all(s["parent_id"] == by_name["matrix"]["span_id"] for s in cells)
+        assert "pack" in render_span_tree(spans)
 
     def test_exception_in_span_records_error_attribute(self, tmp_path):
         tracer = SpanTracer.for_dir(tmp_path)

@@ -13,8 +13,6 @@ from repro.policies.rrip import DRRIPPolicy
 from repro.policies.ta_drrip import TADRRIPPolicy
 from repro.sim.parallel import (
     ENV_MAX_WORKERS,
-    parallel_compare_policies,
-    parallel_sweep_static_pd,
     resolve_max_workers,
     run_matrix,
     run_mix_matrix,
@@ -62,7 +60,7 @@ def test_resolve_max_workers(monkeypatch):
 def test_parallel_sweep_matches_serial(trace):
     assert len(PD_GRID) >= 8
     serial = sweep_static_pd(trace, GEOMETRY, PD_GRID, bypass=True)
-    parallel = parallel_sweep_static_pd(
+    parallel = sweep_static_pd(
         trace, GEOMETRY, PD_GRID, bypass=True, max_workers=3
     )
     assert list(parallel) == PD_GRID  # insertion order preserved
@@ -80,7 +78,7 @@ def test_parallel_sweep_accepts_trace_stream(trace, tmp_path):
     write_stream(as_stream(trace), path)
     stream = open_trace(path, chunk_size=1_024)
     serial = sweep_static_pd(trace, GEOMETRY, PD_GRID[:4], bypass=True)
-    streamed = parallel_sweep_static_pd(
+    streamed = sweep_static_pd(
         stream, GEOMETRY, PD_GRID[:4], bypass=True, max_workers=2
     )
     assert _summaries(streamed) == {
@@ -91,7 +89,7 @@ def test_parallel_sweep_accepts_trace_stream(trace, tmp_path):
 def test_parallel_compare_matches_serial(trace):
     factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
     serial = compare_policies(trace, factories, GEOMETRY)
-    parallel = parallel_compare_policies(trace, factories, GEOMETRY, max_workers=2)
+    parallel = compare_policies(trace, factories, GEOMETRY, max_workers=2)
     assert _summaries(parallel) == _summaries(serial)
 
 

@@ -183,6 +183,31 @@ class TestJobStore:
         assert revived.state == "queued" and revived.interrupted
 
 
+class TestJobTimestamps:
+    def test_sub_second_queue_wait_is_fractional(self):
+        from repro.obs.manifest import utc_now_iso
+
+        submitted = utc_now_iso()
+        time.sleep(0.05)
+        started = utc_now_iso()
+        wait = SweepService._elapsed_between(submitted, started)
+        assert 0.04 <= wait < 1.0
+
+    def test_list_jobs_orders_second_and_millisecond_stamps(self, tmp_path):
+        store = JobStore(tmp_path)
+        stamps = [
+            "2026-01-01T00:00:04.900+00:00",
+            "2026-01-01T00:00:05+00:00",  # a record written before ms stamps
+            "2026-01-01T00:00:05.100+00:00",
+            "2026-01-01T00:00:06+00:00",
+        ]
+        for stamp in reversed(stamps):
+            record = JobRecord.new(SweepSpec(benchmark="x", policies=["lru"]))
+            record.submitted_at = stamp
+            store.save(record)
+        assert [r.submitted_at for r in store.list_jobs()] == stamps
+
+
 class TestMatrixResume:
     def test_second_run_skips_all_cells_bit_identical(self, tmp_path):
         trace = _trace()

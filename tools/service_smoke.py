@@ -14,7 +14,10 @@ and the real unix-socket protocol:
    namespace holds exactly one cell manifest per policy,
 7. hit the live daemon's ``stats`` verb (queue depth, jobs-by-state,
    latency percentiles) and run ``repro obs scrape --prom`` once,
-   validating the Prometheus text exposition.
+   validating the Prometheus text exposition,
+8. resubmit with one policy's kwargs changed under its unchanged key
+   (and another engine): exactly that cell runs again, the others are
+   skipped — resume identity covers kwargs, not the engine.
 
 Exits non-zero (with a diagnostic) on any violation. Usage::
 
@@ -129,6 +132,31 @@ def verify_stats_and_scrape(root: Path) -> None:
           f"({len(scrape.stdout.splitlines())} lines)")
 
 
+def verify_changed_kwargs_rerun(root: Path, spec: SweepSpec) -> None:
+    """Resubmit ``spec`` with PDP pinned to a static PD under the same
+    ``pdp`` key and the vector engine: only that cell may run."""
+    changed = SweepSpec.from_dict(
+        {
+            **spec.to_dict(),
+            "engine": "vector",
+            "policies": [p for p in POLICIES if p != "pdp"]
+            + [{"key": "pdp", "name": "pdp", "kwargs": {"static_pd": 64}}],
+        }
+    )
+    with ServiceClient(service_socket(root), timeout=600) as client:
+        job = client.submit(changed.to_dict())
+        done = list(client.watch(job["job_id"]))[-1]["done"]
+    if done["state"] != "done":
+        fail(f"kwargs resubmission ended {done['state']}: {done.get('error')}")
+    counts = (done["ran_cells"], done["skipped_cells"])
+    if counts != (1, len(POLICIES) - 1):
+        fail(
+            f"changed pdp kwargs under an unchanged key: expected (ran, "
+            f"skipped) = (1, {len(POLICIES) - 1}), got {counts}"
+        )
+    print("[smoke] changed kwargs re-ran exactly the changed cell")
+
+
 def main() -> int:
     """Run the interrupted-then-resumed smoke scenario."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -187,6 +215,7 @@ def main() -> int:
                 rerun = client.submit(spec.to_dict())
                 list(client.watch(rerun["job_id"]))
             verify_stats_and_scrape(root)
+            verify_changed_kwargs_rerun(root, spec)
         finally:
             stop_daemon(proc)
         return 0
@@ -205,30 +234,30 @@ def main() -> int:
             responses = list(client.watch(job_id))
         done = responses[-1]["done"]
         verify_stats_and_scrape(root)
+        if done["state"] != "done":
+            fail(f"resumed job ended {done['state']}: {done.get('error')}")
+        if done["skipped_cells"] != survivors:
+            fail(
+                f"resume skipped {done['skipped_cells']} cells but "
+                f"{survivors} manifests survived the kill"
+            )
+        if done["skipped_cells"] + done["ran_cells"] != len(POLICIES):
+            fail(
+                f"cells unaccounted for: skipped {done['skipped_cells']} + "
+                f"ran {done['ran_cells']} != {len(POLICIES)}"
+            )
+        final = cell_manifests(namespace_dir)
+        labels = sorted(m.label for m in final)
+        if labels != sorted(POLICIES):
+            fail(f"expected one manifest per policy, found {labels}")
+        print(
+            f"[smoke] OK: resumed job skipped {done['skipped_cells']} and ran "
+            f"{done['ran_cells']} of {len(POLICIES)} cells; "
+            f"{len(final)} cell manifests total"
+        )
+        verify_changed_kwargs_rerun(root, spec)
     finally:
         stop_daemon(proc)
-
-    if done["state"] != "done":
-        fail(f"resumed job ended {done['state']}: {done.get('error')}")
-    if done["skipped_cells"] != survivors:
-        fail(
-            f"resume skipped {done['skipped_cells']} cells but "
-            f"{survivors} manifests survived the kill"
-        )
-    if done["skipped_cells"] + done["ran_cells"] != len(POLICIES):
-        fail(
-            f"cells unaccounted for: skipped {done['skipped_cells']} + "
-            f"ran {done['ran_cells']} != {len(POLICIES)}"
-        )
-    final = cell_manifests(namespace_dir)
-    labels = sorted(m.label for m in final)
-    if labels != sorted(POLICIES):
-        fail(f"expected one manifest per policy, found {labels}")
-    print(
-        f"[smoke] OK: resumed job skipped {done['skipped_cells']} and ran "
-        f"{done['ran_cells']} of {len(POLICIES)} cells; "
-        f"{len(final)} cell manifests total"
-    )
     return 0
 
 
