@@ -20,10 +20,13 @@ Measures, on a 403.gcc-like trace at the experiment geometry (64 sets x
   on top of it.
 
 ``--check`` exits non-zero if the fast or vector engine is slower than
-the reference for any measured policy. ``--profile [N]`` additionally
-runs each engine x policy cell once under cProfile and prints the top N
-functions by cumulative time (default 15) to stderr — the standing tool
-for hot-spot hunts. Results land in ``BENCH_engine.json`` at the repo
+the reference for any measured policy, or — on a host with at least 2
+CPUs and a pool of at least 2 workers — if the parallel sweep is slower
+than the serial vector sweep (``parallel_speedup_vs_serial_vector <
+1.0``; that pair is best-of-5 even with ``--quick``). ``--profile [N]``
+additionally runs each engine x policy cell once under cProfile and
+prints the top N functions by cumulative time (default 15) to stderr —
+the standing tool for hot-spot hunts. Results land in ``BENCH_engine.json`` at the repo
 root (override with ``--out``), wrapped in the canonical benchmark
 schema of :mod:`repro.obs.bench` (machine fingerprint, git SHA,
 ``engine/policy`` throughput map, peak RSS); ``--trajectory FILE``
@@ -87,19 +90,26 @@ def _engine_pair(trace, factory, repeats: int) -> dict:
     return report
 
 
+#: Minimum repeats of the serial-vector vs parallel pair, even in
+#: ``--quick`` mode: ``--check`` gates their ratio, and one sub-second
+#: run of each is too noisy to gate on.
+GATED_PAIR_REPEATS = 5
+
+
 def _sweep_triple(trace, workers: int, repeats: int) -> dict:
     """The 8-point PD sweep: serial per engine vs the parallel runner
     (which defaults to the vector engine)."""
     serial_ref = serial_fast = serial_vector = parallel = float("inf")
-    for _ in range(repeats):
-        _, t = _timed(
-            sweep_static_pd, trace, EXPERIMENT_GEOMETRY, PD_GRID, engine="reference"
-        )
-        serial_ref = min(serial_ref, t)
-        _, t = _timed(
-            sweep_static_pd, trace, EXPERIMENT_GEOMETRY, PD_GRID, engine="fast"
-        )
-        serial_fast = min(serial_fast, t)
+    for index in range(max(repeats, GATED_PAIR_REPEATS)):
+        if index < repeats:
+            _, t = _timed(
+                sweep_static_pd, trace, EXPERIMENT_GEOMETRY, PD_GRID, engine="reference"
+            )
+            serial_ref = min(serial_ref, t)
+            _, t = _timed(
+                sweep_static_pd, trace, EXPERIMENT_GEOMETRY, PD_GRID, engine="fast"
+            )
+            serial_fast = min(serial_fast, t)
         _, t = _timed(sweep_static_pd, trace, EXPERIMENT_GEOMETRY, PD_GRID)
         serial_vector = min(serial_vector, t)
         _, t = _timed(
@@ -184,7 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero if the fast engine is slower than the reference",
+        help="exit non-zero if the fast or vector engine is slower than the "
+        "reference, or (2+ CPUs) the parallel sweep than the serial vector one",
     )
     parser.add_argument(
         "--length", type=int, default=None,
@@ -242,7 +253,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: engine slower than reference for {slow}",
                   file=sys.stderr)
             return 1
-        print("CHECK OK: fast and vector engines >= reference for all policies",
+        sweep = report["sweep"]
+        pooled = report["cpu_count"] >= 2 and sweep["workers"] >= 2
+        if pooled and sweep["parallel_speedup_vs_serial_vector"] < 1.0:
+            print(
+                "FAIL: parallel sweep slower than serial vector "
+                f"({sweep['parallel_speedup_vs_serial_vector']}x on "
+                f"{sweep['workers']} workers, cpu_count={report['cpu_count']})",
+                file=sys.stderr,
+            )
+            return 1
+        print("CHECK OK: fast and vector engines >= reference for all policies"
+              + ("; parallel sweep >= serial vector" if pooled else ""),
               file=sys.stderr)
     return 0
 

@@ -11,9 +11,12 @@ changes the cell's result; it is recorded in the cell's manifest
 
 :func:`run_cells` runs any list of cells, in parallel when possible.
 Each distinct trace is written once to a packed payload in the native
-compressed format (:meth:`Trace.save` / ``.trz``) and workers load each
-at most once per process (a module-level memo), so a 32-point PD sweep
-ships its trace a handful of times instead of re-pickling it per task.
+compressed format (:meth:`Trace.save` / ``.trz``, gzip level 1) and
+workers load each at most once per process (a module-level memo), so a
+32-point PD sweep ships its trace a handful of times instead of
+re-pickling it per task. At level 1 packing a 100K-access trace takes
+~0.02 s, about 1% of a 20-cell grid, so workers load payloads on every
+start method rather than inheriting the parent's traces through fork.
 A :class:`repro.traces.stream.TraceStream` source (an external trace
 file opened via :func:`repro.traces.formats.open_trace`) is
 stream-copied to its payload and each worker re-opens it as a chunked

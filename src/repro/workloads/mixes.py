@@ -70,32 +70,23 @@ def interleave_traces(
         raise ValueError("all traces must be non-empty")
     if total_length is None:
         total_length = max(lengths) * num_threads
-    addresses = np.empty(total_length, dtype=np.int64)
-    pcs = np.empty(total_length, dtype=np.int64)
-    thread_ids = np.empty(total_length, dtype=np.int64)
-    cursors = [0] * num_threads
-    completion = [-1] * num_threads
-    offsets = [thread << 40 for thread in range(num_threads)]
-    position = 0
-    while position < total_length:
-        for thread in range(num_threads):
-            if position >= total_length:
-                break
-            trace = traces[thread]
-            cursor = cursors[thread]
-            addresses[position] = int(trace.addresses[cursor]) + offsets[thread]
-            pcs[position] = int(trace.pcs[cursor])
-            thread_ids[position] = thread
-            cursor += 1
-            if cursor >= lengths[thread]:
-                cursor = 0  # rewind and continue (paper Sec. 5)
-                if completion[thread] < 0:
-                    completion[thread] = position + 1
-            cursors[thread] = cursor
-            position += 1
-    for thread in range(num_threads):
-        if completion[thread] < 0:
-            completion[thread] = total_length
+    # Position p serves thread p % T at cursor (p // T) % len_t: a gather
+    # from the concatenated per-thread columns.
+    position = np.arange(total_length, dtype=np.int64)
+    thread_ids = position % num_threads
+    sizes = np.array(lengths, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    index = starts[thread_ids] + (position // num_threads) % sizes[thread_ids]
+    addresses = (
+        np.concatenate([trace.addresses for trace in traces])[index]
+        + (thread_ids << 40)
+    )
+    pcs = np.concatenate([trace.pcs for trace in traces])[index]
+    # Thread t finishes its first pass at position (len_t - 1) * T + t.
+    completion = [
+        min((length - 1) * num_threads + thread + 1, total_length)
+        for thread, length in enumerate(lengths)
+    ]
     # The mixed trace's aggregate instructions-per-access is the mean of
     # the per-thread values: round-robin gives every thread an equal share
     # of the interleave, so the unweighted mean IS the access-weighted

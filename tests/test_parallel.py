@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.core.pdp_policy import PDPPolicy
 from repro.memory.cache import CacheGeometry
 from repro.policies.lru import LRUPolicy
 from repro.policies.rrip import DRRIPPolicy
@@ -159,6 +160,69 @@ def test_stream_sweep_manifest_records_fingerprint(trace, tmp_path):
     )
     sweep = [m for m in load_manifests(out) if m.kind == "matrix"][0]
     assert sweep.trace_fingerprint == trace_fingerprint(trace)
+
+
+class TestPayloadHandOff:
+    """A pooled grid ships each distinct trace to its workers as one
+    gzip-level-1 payload in a temp dir that is gone when the grid
+    returns, whatever its outcome; results are identical to serial."""
+
+    @pytest.fixture(autouse=True)
+    def _tmpdir(self, tmp_path, monkeypatch):
+        """Point TMPDIR (where payload dirs go) at an empty directory."""
+        import tempfile
+
+        self.tmpdir = tmp_path / "tmpdir"
+        self.tmpdir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(self.tmpdir))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+
+    def _run(self, source, factories, max_workers):
+        """Run the grid; returns its results and the gzip XFL byte of
+        every payload present when the first cell started."""
+        payloads = []
+
+        def on_event(event):
+            if event.kind == "started" and not payloads:
+                for path in sorted(self.tmpdir.glob("repro-trace-*/*.trz")):
+                    payloads.append(path.read_bytes()[8])
+
+        results = run_matrix(
+            source, factories, GEOMETRY, max_workers=max_workers, on_event=on_event
+        )
+        assert list(self.tmpdir.iterdir()) == []
+        return results, payloads
+
+    def test_trace_grid_matches_serial(self, trace):
+        factories = {
+            "lru": LRUPolicy,
+            "drrip": DRRIPPolicy,
+            **{f"pd{pd}": partial(PDPPolicy, static_pd=pd) for pd in PD_GRID[:3]},
+        }
+        pooled, payloads = self._run(trace, factories, max_workers=2)
+        serial, unpacked = self._run(trace, factories, max_workers=1)
+        assert pooled == serial
+        assert payloads == [4]  # one payload, XFL 4 = gzip level 1
+        assert unpacked == []  # the serial path writes nothing
+
+    def test_stream_grid_matches_serial(self, trace, tmp_path):
+        from repro.traces.formats import open_trace, write_stream
+        from repro.traces.stream import as_stream
+
+        path = tmp_path / "grid.trz"
+        write_stream(as_stream(trace), path)
+        stream = open_trace(path, chunk_size=1_000)
+        factories = {"lru": LRUPolicy, "drrip": DRRIPPolicy}
+        pooled, payloads = self._run(stream, factories, max_workers=2)
+        serial, _ = self._run(stream, factories, max_workers=1)
+        assert pooled == serial
+        assert payloads == [4]
+
+    def test_payload_dir_removed_after_cell_failure(self, trace):
+        factories = {"boom": ExplodingPolicy, "lru": LRUPolicy}
+        with pytest.raises(RuntimeError, match="policy exploded"):
+            run_matrix(trace, factories, GEOMETRY, max_workers=2)
+        assert list(self.tmpdir.iterdir()) == []
 
 
 def test_runner_delegates_to_parallel(trace):

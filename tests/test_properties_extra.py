@@ -101,6 +101,72 @@ def test_interleave_preserves_per_thread_order(per_thread):
         assert completion[thread] == first_pass[-1] + 1
 
 
+def _interleave_loop(traces, total_length=None):
+    """The per-access round-robin loop ``interleave_traces`` replaced,
+    kept as the reference its vectorized gather must match bit for bit."""
+    num_threads = len(traces)
+    lengths = [len(trace) for trace in traces]
+    if total_length is None:
+        total_length = max(lengths) * num_threads
+    addresses = np.empty(total_length, dtype=np.int64)
+    pcs = np.empty(total_length, dtype=np.int64)
+    thread_ids = np.empty(total_length, dtype=np.int64)
+    cursors = [0] * num_threads
+    completion = [-1] * num_threads
+    position = 0
+    while position < total_length:
+        for thread in range(num_threads):
+            if position >= total_length:
+                break
+            cursor = cursors[thread]
+            addresses[position] = int(traces[thread].addresses[cursor]) + (thread << 40)
+            pcs[position] = int(traces[thread].pcs[cursor])
+            thread_ids[position] = thread
+            cursor += 1
+            if cursor >= lengths[thread]:
+                cursor = 0
+                if completion[thread] < 0:
+                    completion[thread] = position + 1
+            cursors[thread] = cursor
+            position += 1
+    completion = [total_length if c < 0 else c for c in completion]
+    return addresses, pcs, thread_ids, completion
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**32),
+                st.integers(min_value=0, max_value=2**20),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=150)),
+)
+@settings(max_examples=80, deadline=None)
+def test_interleave_matches_reference_loop(per_thread, total_length):
+    """Ragged thread lengths, truncation by ``total_length`` (before,
+    at or past a thread's first pass) and the completion positions all
+    match the per-access loop exactly."""
+    traces = [
+        Trace([a for a, _ in accesses], pcs=[pc for _, pc in accesses], name=f"t{i}")
+        for i, accesses in enumerate(per_thread)
+    ]
+    mixed, completion = interleave_traces(traces, total_length)
+    addresses, pcs, thread_ids, expected = _interleave_loop(traces, total_length)
+    assert mixed.addresses.dtype == np.int64
+    np.testing.assert_array_equal(mixed.addresses, addresses)
+    np.testing.assert_array_equal(mixed.pcs, pcs)
+    np.testing.assert_array_equal(mixed.thread_ids, thread_ids)
+    assert completion == expected
+    assert all(isinstance(position, int) for position in completion)
+
+
 @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=200))
 @settings(max_examples=40, deadline=None)
 def test_pipp_order_is_always_a_permutation(addresses):

@@ -116,6 +116,35 @@ def test_native_preserves_metadata(tmp_path):
     assert header["version"] == native.VERSION
 
 
+def test_native_writes_gzip_level_1(tmp_path):
+    """Every native writer uses the fastest gzip level (the header's XFL
+    byte reads 4 for level 1, 2 for level 9)."""
+    path = tmp_path / "t.trz"
+    write_stream(as_stream(_trace()), path)
+    assert path.read_bytes()[8] == 4
+    _trace().save(tmp_path / "saved.trz")
+    assert (tmp_path / "saved.trz").read_bytes()[8] == 4
+
+
+def test_native_reads_level_9_files(tmp_path):
+    """Files written at gzip level 9, as native writers did before they
+    switched to level 1, still load through every reader."""
+    trace = _trace(n=300, name="legacy", ipa=3.5)
+    current = tmp_path / "current.trz"
+    trace.save(current)
+    legacy = tmp_path / "legacy.trz"
+    legacy.write_bytes(
+        gzip.compress(gzip.decompress(current.read_bytes()), compresslevel=9)
+    )
+    assert legacy.read_bytes()[8] == 2
+    loaded = Trace.load(legacy)
+    assert _columns(loaded) == _columns(trace)
+    assert (loaded.name, loaded.instructions_per_access) == ("legacy", 3.5)
+    stream = open_trace(legacy, chunk_size=64)
+    assert _columns(stream.materialize()) == _columns(trace)
+    assert native.scan_length(legacy) == len(trace)
+
+
 def test_champsim_thread_ids_survive(tmp_path):
     trace = Trace([1, 2, 3, 4], thread_ids=[0, 3, 1, 2], name="mt")
     path = tmp_path / "t.champsim"
